@@ -1,7 +1,9 @@
 // Command benchcore measures the throughput of every PFPL lossless-stage
-// kernel — word-parallel fast path and scalar reference — plus end-to-end
-// compress/decompress throughput per executor, and writes the results as
-// JSON in the same spirit as results/BENCH_serve.json.
+// kernel — word-parallel fast path and scalar reference — and of the
+// chunk quantizers against the per-value loop, plus end-to-end
+// compress/decompress throughput per executor, at GOMAXPROCS=1 and at
+// runtime.NumCPU(), and writes the results as JSON in the same spirit as
+// results/BENCH_serve.json.
 //
 // Usage:
 //
@@ -28,7 +30,8 @@ import (
 )
 
 // Result is one throughput measurement. Stage entries carry impl
-// "fast"/"ref"; executor entries carry the executor name.
+// "fast"/"ref"; executor entries carry the executor name. GOMAXPROCS is
+// the setting the row was measured at.
 type Result struct {
 	Name       string  `json:"name"`
 	Kind       string  `json:"kind"` // "stage" or "executor"
@@ -38,6 +41,7 @@ type Result struct {
 	Op         string  `json:"op,omitempty"`
 	Precision  int     `json:"precision"`
 	Dataset    string  `json:"dataset"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
 	BytesPerOp int64   `json:"bytes_per_op"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	GBPerS     float64 `json:"gb_per_s"`
@@ -46,6 +50,7 @@ type Result struct {
 // Speedup summarizes fast-over-reference for one stage benchmark.
 type Speedup struct {
 	Name        string  `json:"name"`
+	GOMAXPROCS  int     `json:"gomaxprocs"`
 	FastOverRef float64 `json:"fast_over_ref"`
 }
 
@@ -56,7 +61,7 @@ type Report struct {
 	GoVersion   string    `json:"go_version"`
 	GOARCH      string    `json:"goarch"`
 	NumCPU      int       `json:"num_cpu"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
+	GOMAXPROCS  []int     `json:"gomaxprocs"`
 	ChunkBytes  int       `json:"chunk_bytes"`
 	Budget      string    `json:"budget_per_measurement"`
 	Stages      []Result  `json:"stages"`
@@ -98,10 +103,10 @@ func stageResult(name, stage, impl string, precision int, dataset string, bytesP
 	ns := measure(budget, f)
 	r := Result{
 		Name: name, Kind: "stage", Stage: stage, Impl: impl,
-		Precision: precision, Dataset: dataset,
+		Precision: precision, Dataset: dataset, GOMAXPROCS: runtime.GOMAXPROCS(0),
 		BytesPerOp: bytesPerOp, NsPerOp: ns, GBPerS: gbps(bytesPerOp, ns),
 	}
-	fmt.Printf("%-44s %10.0f ns/op %8.2f GB/s\n", name, ns, r.GBPerS)
+	fmt.Printf("%-44s p%-2d %10.0f ns/op %8.2f GB/s\n", name, r.GOMAXPROCS, ns, r.GBPerS)
 	return r
 }
 
@@ -129,6 +134,41 @@ func smoothWords64(n int) []uint64 {
 		out[i] = p.EncodeValue64(math.Sin(float64(i) * 0.01))
 	}
 	return out
+}
+
+// quantField32 is one chunk of a smooth field quantized at eps 1e-3: the
+// field itself for ABS, its exponential (positive, spanning about three
+// binades) for REL.
+func quantField32(mode core.Mode) (core.Params, []float32) {
+	p, err := core.NewParams(mode, 1e-3, 0, false)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]float32, core.ChunkWords32)
+	for i := range out {
+		x := math.Sin(float64(i) * 0.001)
+		if mode == core.REL {
+			x = math.Exp(x)
+		}
+		out[i] = float32(x)
+	}
+	return p, out
+}
+
+func quantField64(mode core.Mode) (core.Params, []float64) {
+	p, err := core.NewParams(mode, 1e-3, 0, true)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]float64, core.ChunkWords64)
+	for i := range out {
+		x := math.Sin(float64(i) * 0.002)
+		if mode == core.REL {
+			x = math.Exp(x)
+		}
+		out[i] = x
+	}
+	return p, out
 }
 
 // shuffledBytes32 pushes smooth quantized words through delta+shuffle and
@@ -166,7 +206,49 @@ func stageBenchmarks(budget time.Duration) ([]Result, []Speedup) {
 		f := stageResult(name, stage, "fast", precision, dataset, bytesPerOp, budget, fast)
 		r := stageResult(name+"_ref", stage, "ref", precision, dataset, bytesPerOp, budget, slow)
 		results = append(results, f, r)
-		speedups = append(speedups, Speedup{Name: name, FastOverRef: r.NsPerOp / f.NsPerOp})
+		speedups = append(speedups, Speedup{Name: name, GOMAXPROCS: f.GOMAXPROCS, FastOverRef: r.NsPerOp / f.NsPerOp})
+	}
+
+	// Quantize: the chunk quantizers (four-lane portable math for REL)
+	// against the per-value EncodeValue/DecodeValue loop they replace.
+	for _, q := range []struct {
+		name string
+		mode core.Mode
+	}{{"abs", core.ABS}, {"rel", core.REL}} {
+		p32, f32 := quantField32(q.mode)
+		q32 := make([]uint32, len(f32))
+		pair("quantize/32/"+q.name, "quantize", 32, q.name+"-smooth", core.ChunkBytes,
+			func() { core.QuantizeChunk32(&p32, f32, q32) },
+			func() {
+				for i, v := range f32 {
+					q32[i] = p32.EncodeValue32(v)
+				}
+			})
+		d32 := make([]float32, len(f32))
+		pair("dequantize/32/"+q.name, "quantize", 32, q.name+"-smooth", core.ChunkBytes,
+			func() { core.DequantizeChunk32(&p32, q32, d32) },
+			func() {
+				for i, w := range q32 {
+					d32[i] = p32.DecodeValue32(w)
+				}
+			})
+		p64, f64 := quantField64(q.mode)
+		q64 := make([]uint64, len(f64))
+		pair("quantize/64/"+q.name, "quantize", 64, q.name+"-smooth", core.ChunkBytes,
+			func() { core.QuantizeChunk64(&p64, f64, q64) },
+			func() {
+				for i, v := range f64 {
+					q64[i] = p64.EncodeValue64(v)
+				}
+			})
+		d64 := make([]float64, len(f64))
+		pair("dequantize/64/"+q.name, "quantize", 64, q.name+"-smooth", core.ChunkBytes,
+			func() { core.DequantizeChunk64(&p64, q64, d64) },
+			func() {
+				for i, w := range q64 {
+					d64[i] = p64.DecodeValue64(w)
+				}
+			})
 	}
 
 	// Stage 1: delta + negabinary.
@@ -242,6 +324,7 @@ func executorBenchmarks(budget time.Duration) []Result {
 		{"cpu", pfpl.CPU(0)},
 		{"gpusim-4090", pfpl.GPU(pfpl.RTX4090)},
 	}
+	procs := runtime.GOMAXPROCS(0)
 	for _, d := range devices {
 		dev := d.dev
 		bytesPerOp := int64(len(src)) * 4
@@ -252,10 +335,10 @@ func executorBenchmarks(budget time.Duration) []Result {
 		})
 		r := Result{
 			Name: "compress/32/" + d.name, Kind: "executor", Executor: d.name,
-			Op: "compress", Precision: 32, Dataset: "smooth",
+			Op: "compress", Precision: 32, Dataset: "smooth", GOMAXPROCS: procs,
 			BytesPerOp: bytesPerOp, NsPerOp: ns, GBPerS: gbps(bytesPerOp, ns),
 		}
-		fmt.Printf("%-44s %10.0f ns/op %8.2f GB/s\n", r.Name, ns, r.GBPerS)
+		fmt.Printf("%-44s p%-2d %10.0f ns/op %8.2f GB/s\n", r.Name, procs, ns, r.GBPerS)
 		results = append(results, r)
 
 		comp, err := dev.Compress32(src, pfpl.ABS, 1e-3)
@@ -270,25 +353,44 @@ func executorBenchmarks(budget time.Duration) []Result {
 		})
 		r = Result{
 			Name: "decompress/32/" + d.name, Kind: "executor", Executor: d.name,
-			Op: "decompress", Precision: 32, Dataset: "smooth",
+			Op: "decompress", Precision: 32, Dataset: "smooth", GOMAXPROCS: procs,
 			BytesPerOp: bytesPerOp, NsPerOp: ns, GBPerS: gbps(bytesPerOp, ns),
 		}
-		fmt.Printf("%-44s %10.0f ns/op %8.2f GB/s\n", r.Name, ns, r.GBPerS)
+		fmt.Printf("%-44s p%-2d %10.0f ns/op %8.2f GB/s\n", r.Name, procs, ns, r.GBPerS)
 		results = append(results, r)
 	}
 	return results
 }
 
+// procSettings returns the GOMAXPROCS values every row is measured at:
+// one core and all of them.
+func procSettings() []int {
+	if n := runtime.NumCPU(); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 func run(budget time.Duration, outPath, batchOutPath string, batchFields int) error {
-	stages, speedups := stageBenchmarks(budget)
-	executors := executorBenchmarks(budget)
+	var stages, executors []Result
+	var speedups []Speedup
+	procs := procSettings()
+	prev := runtime.GOMAXPROCS(0)
+	for _, n := range procs {
+		runtime.GOMAXPROCS(n)
+		st, sp := stageBenchmarks(budget)
+		stages = append(stages, st...)
+		speedups = append(speedups, sp...)
+		executors = append(executors, executorBenchmarks(budget)...)
+	}
+	runtime.GOMAXPROCS(prev)
 	rep := Report{
-		Description: "PFPL core kernel throughput: per-stage fast (word-parallel) vs ref (scalar reference) GB/s, plus end-to-end executor throughput on a 4 MiB smooth float32 field (ABS 1e-3). Regenerate: go run ./cmd/benchcore -out results/BENCH_core.json (see EXPERIMENTS.md).",
+		Description: "PFPL core kernel throughput: per-stage fast (word-parallel; chunk quantizers with four-lane REL) vs ref (scalar reference; per-value quantizer loop) GB/s, plus end-to-end executor throughput on a 4 MiB smooth float32 field (ABS 1e-3), every row at each GOMAXPROCS listed. Regenerate: go run ./cmd/benchcore -out results/BENCH_core.json (see EXPERIMENTS.md).",
 		Date:        time.Now().UTC().Format("2006-01-02"),
 		GoVersion:   runtime.Version(),
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		GOMAXPROCS:  procs,
 		ChunkBytes:  core.ChunkBytes,
 		Budget:      budget.String(),
 		Stages:      stages,

@@ -10,8 +10,9 @@ import (
 
 // TestRunEmitsValidReport runs the whole harness at a tiny budget and
 // checks the JSON schema: every stage has a fast and a ref entry, every
-// measurement reports positive throughput, and the zero-elim speedups are
-// present (the acceptance numbers the optimized kernels are pinned to).
+// measurement reports positive throughput, the zero-elim speedups are
+// present (the acceptance numbers the optimized kernels are pinned to), and
+// every row exists at each measured GOMAXPROCS setting.
 func TestRunEmitsValidReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement pass skipped in short mode")
@@ -43,7 +44,7 @@ func TestRunEmitsValidReport(t *testing.T) {
 		}
 		impls[r.Stage][r.Impl] = true
 	}
-	for _, stage := range []string{"delta", "shuffle", "zeroelim"} {
+	for _, stage := range []string{"quantize", "delta", "shuffle", "zeroelim"} {
 		if !impls[stage]["fast"] || !impls[stage]["ref"] {
 			t.Errorf("stage %q missing fast or ref entries: %v", stage, impls[stage])
 		}
@@ -63,6 +64,31 @@ func TestRunEmitsValidReport(t *testing.T) {
 	for _, r := range rep.Executors {
 		if !(r.GBPerS > 0) {
 			t.Errorf("%s: non-positive throughput", r.Name)
+		}
+	}
+	// Every row is measured at each listed GOMAXPROCS setting, and the
+	// REL quantizer rows exist at each.
+	if len(rep.GOMAXPROCS) == 0 || rep.GOMAXPROCS[0] != 1 {
+		t.Fatalf("gomaxprocs settings %v, want 1 first", rep.GOMAXPROCS)
+	}
+	for _, procs := range rep.GOMAXPROCS {
+		stages, execs, relQuant := 0, 0, 0
+		for _, r := range rep.Stages {
+			if r.GOMAXPROCS == procs {
+				stages++
+				if r.Name == "quantize/32/rel" {
+					relQuant++
+				}
+			}
+		}
+		for _, r := range rep.Executors {
+			if r.GOMAXPROCS == procs {
+				execs++
+			}
+		}
+		if stages*len(rep.GOMAXPROCS) != len(rep.Stages) || execs*len(rep.GOMAXPROCS) != len(rep.Executors) || relQuant != 1 {
+			t.Errorf("gomaxprocs %d: %d of %d stage rows, %d of %d executor rows, %d quantize/32/rel rows",
+				procs, stages, len(rep.Stages), execs, len(rep.Executors), relQuant)
 		}
 	}
 

@@ -66,6 +66,82 @@ func BenchmarkQuantizeREL32(b *testing.B) {
 	}
 }
 
+// benchChunk32/64 are one full chunk of a smooth field for the ABS
+// benchmarks and of its exponential (positive, spanning about three
+// binades) for REL, quantized with eps 1e-3.
+func benchChunk32(mode Mode) (Params, []float32) {
+	p, _ := NewParams(mode, 1e-3, 0, false)
+	src := make([]float32, ChunkWords32)
+	for i := range src {
+		x := math.Sin(float64(i) * 0.001)
+		if mode == REL {
+			x = math.Exp(x)
+		}
+		src[i] = float32(x)
+	}
+	return p, src
+}
+
+func benchChunk64(mode Mode) (Params, []float64) {
+	p, _ := NewParams(mode, 1e-3, 0, true)
+	src := make([]float64, ChunkWords64)
+	for i := range src {
+		x := math.Sin(float64(i) * 0.002)
+		if mode == REL {
+			x = math.Exp(x)
+		}
+		src[i] = x
+	}
+	return p, src
+}
+
+func benchQuantizeChunk32(b *testing.B, mode Mode) {
+	p, src := benchChunk32(mode)
+	dst := make([]uint32, len(src))
+	b.SetBytes(ChunkBytes)
+	for i := 0; i < b.N; i++ {
+		QuantizeChunk32(&p, src, dst)
+	}
+}
+
+func benchDequantizeChunk32(b *testing.B, mode Mode) {
+	p, src := benchChunk32(mode)
+	words := make([]uint32, len(src))
+	QuantizeChunk32(&p, src, words)
+	b.SetBytes(ChunkBytes)
+	for i := 0; i < b.N; i++ {
+		DequantizeChunk32(&p, words, src)
+	}
+}
+
+func benchQuantizeChunk64(b *testing.B, mode Mode) {
+	p, src := benchChunk64(mode)
+	dst := make([]uint64, len(src))
+	b.SetBytes(ChunkBytes)
+	for i := 0; i < b.N; i++ {
+		QuantizeChunk64(&p, src, dst)
+	}
+}
+
+func benchDequantizeChunk64(b *testing.B, mode Mode) {
+	p, src := benchChunk64(mode)
+	words := make([]uint64, len(src))
+	QuantizeChunk64(&p, src, words)
+	b.SetBytes(ChunkBytes)
+	for i := 0; i < b.N; i++ {
+		DequantizeChunk64(&p, words, src)
+	}
+}
+
+func BenchmarkQuantizeChunkABS32(b *testing.B)   { benchQuantizeChunk32(b, ABS) }
+func BenchmarkQuantizeChunkREL32(b *testing.B)   { benchQuantizeChunk32(b, REL) }
+func BenchmarkQuantizeChunkABS64(b *testing.B)   { benchQuantizeChunk64(b, ABS) }
+func BenchmarkQuantizeChunkREL64(b *testing.B)   { benchQuantizeChunk64(b, REL) }
+func BenchmarkDequantizeChunkABS32(b *testing.B) { benchDequantizeChunk32(b, ABS) }
+func BenchmarkDequantizeChunkREL32(b *testing.B) { benchDequantizeChunk32(b, REL) }
+func BenchmarkDequantizeChunkABS64(b *testing.B) { benchDequantizeChunk64(b, ABS) }
+func BenchmarkDequantizeChunkREL64(b *testing.B) { benchDequantizeChunk64(b, REL) }
+
 func BenchmarkStageDeltaNega32(b *testing.B) {
 	words := benchWords(ChunkWords32)
 	buf := make([]uint32, len(words))

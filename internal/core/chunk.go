@@ -64,9 +64,7 @@ func EncodeChunk32(p *Params, src []float32, s *Scratch32) (payload []byte, raw 
 	rec := s.Rec
 	t := rec.Now()
 	n := len(src)
-	for i, v := range src {
-		s.words[i] = p.EncodeValue32(v)
-	}
+	QuantizeChunk32(p, src, s.words[:n])
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward32(s.words[:n])
 	padded := paddedWords32(n)
@@ -122,9 +120,7 @@ func DecodeChunk32(p *Params, payload []byte, raw bool, dst []float32, s *Scratc
 	}
 	BitShuffle32(s.words[:padded])
 	DeltaNegaInverse32(s.words[:n])
-	for i := range dst {
-		dst[i] = p.DecodeValue32(s.words[i])
-	}
+	DequantizeChunk32(p, s.words[:n], dst)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*4)
 	return nil
 }
@@ -137,9 +133,7 @@ func EncodeChunk64(p *Params, src []float64, s *Scratch64) (payload []byte, raw 
 	rec := s.Rec
 	t := rec.Now()
 	n := len(src)
-	for i, v := range src {
-		s.words[i] = p.EncodeValue64(v)
-	}
+	QuantizeChunk64(p, src, s.words[:n])
 	t = rec.StageSpan(obs.StageQuantize, s.Track, s.Unit, t)
 	DeltaNegaForward64(s.words[:n])
 	padded := paddedWords64(n)
@@ -194,9 +188,7 @@ func DecodeChunk64(p *Params, payload []byte, raw bool, dst []float64, s *Scratc
 	}
 	BitShuffle64(s.words[:padded])
 	DeltaNegaInverse64(s.words[:n])
-	for i := range dst {
-		dst[i] = p.DecodeValue64(s.words[i])
-	}
+	DequantizeChunk64(p, s.words[:n], dst)
 	rec.StageSpanOutcome(obs.StageDecode, s.Track, s.Unit, t, obs.OutcomeCompressed, int64(len(payload)), int64(n)*8)
 	return nil
 }

@@ -155,7 +155,7 @@ func NewParams(mode Mode, bound float64, noaRange float64, prec64 bool) (Params,
 			p.Raw = true
 			return p, nil
 		}
-		abs := bound * noaRange
+		abs := float64(bound * noaRange)
 		if abs < minNormal || !isFinite64(abs) {
 			p.Raw = true
 			return p, nil
@@ -220,6 +220,15 @@ const (
 	f64NegZero  = 2
 	f64RelBase  = 3
 )
+
+// relBin rounds the log-space bin coordinate b to the nearest bin, or
+// reports false when |b| exceeds limit or b is NaN.
+func relBin(b, limit float64) (int64, bool) {
+	if !(b < limit+0.5 && b > -(limit+0.5)) {
+		return 0, false
+	}
+	return portmath.RoundToInt(b), true
+}
 
 // relPayload packs (value sign, zigzagged bin) into a NaN mantissa payload.
 func relPayload(bin int64, negative bool) uint64 {

@@ -91,46 +91,67 @@ func (m DeviceModel) Grid(blocks, threadsPerBlock int, makeKernel func(sm int) f
 // soon as it is known; to learn its exclusive prefix it walks backwards
 // over predecessor descriptors, summing aggregates until it meets a block
 // whose inclusive prefix is already final.
+//
+// Each descriptor is one 64-bit word: the status in the top two bits and
+// the value (aggregate or inclusive prefix, always non-negative and below
+// 2^62) in the rest. Status and value must travel in a single atomic: with
+// two separate words a reader could see status "aggregate", then load the
+// value after its owner upgraded it to the inclusive prefix, and count the
+// predecessors twice.
 type Lookback struct {
-	status []int32 // 0 = invalid, 1 = aggregate ready, 2 = prefix ready
-	value  []int64 // aggregate (status 1) or inclusive prefix (status 2)
+	desc []uint64
 }
 
-// Look-back status codes.
+// Look-back status codes, stored in the descriptor's top two bits.
 const (
 	statusInvalid   = 0
 	statusAggregate = 1
 	statusPrefix    = 2
+
+	statusShift = 62
+	valueMask   = 1<<statusShift - 1
 )
+
+// lookbackHook, when non-nil, runs after every predecessor descriptor load
+// in ExclusivePrefix. Tests set it to force interleavings that a given core
+// count would rarely produce; production code leaves it nil.
+var lookbackHook func(block, pred int)
+
+func descriptor(status uint64, value int64) uint64 {
+	return status<<statusShift | uint64(value)&valueMask
+}
 
 // NewLookback creates descriptors for n blocks.
 func NewLookback(n int) *Lookback {
-	return &Lookback{status: make([]int32, n), value: make([]int64, n)}
+	return &Lookback{desc: make([]uint64, n)}
 }
 
-// ExclusivePrefix publishes block b's aggregate and resolves the sum of all
-// predecessor aggregates, spinning on not-yet-published descriptors.
+// ExclusivePrefix publishes block b's aggregate (non-negative, below 2^62)
+// and resolves the sum of all predecessor aggregates, spinning on
+// not-yet-published descriptors.
 func (lb *Lookback) ExclusivePrefix(b int, aggregate int64) int64 {
-	atomic.StoreInt64(&lb.value[b], aggregate)
-	atomic.StoreInt32(&lb.status[b], statusAggregate)
+	atomic.StoreUint64(&lb.desc[b], descriptor(statusAggregate, aggregate))
 	var prefix int64
 	for pred := b - 1; pred >= 0; {
-		st := atomic.LoadInt32(&lb.status[pred])
-		switch st {
+		d := atomic.LoadUint64(&lb.desc[pred])
+		if h := lookbackHook; h != nil {
+			h(b, pred)
+		}
+		value := int64(d & valueMask)
+		switch d >> statusShift {
 		case statusInvalid:
 			runtime.Gosched()
 		case statusAggregate:
-			prefix += atomic.LoadInt64(&lb.value[pred])
+			prefix += value
 			pred--
 		case statusPrefix:
-			prefix += atomic.LoadInt64(&lb.value[pred])
+			prefix += value
 			pred = -1
 		}
 	}
 	// Upgrade this block's descriptor to a final inclusive prefix so later
 	// blocks can stop their look-back here.
-	atomic.StoreInt64(&lb.value[b], prefix+aggregate)
-	atomic.StoreInt32(&lb.status[b], statusPrefix)
+	atomic.StoreUint64(&lb.desc[b], descriptor(statusPrefix, prefix+aggregate))
 	return prefix
 }
 
@@ -138,12 +159,15 @@ func (lb *Lookback) ExclusivePrefix(b int, aggregate int64) int64 {
 // Call only after the grid has been launched (typically after Grid returns,
 // when it is immediate).
 func (lb *Lookback) Total() int64 {
-	n := len(lb.status)
+	n := len(lb.desc)
 	if n == 0 {
 		return 0
 	}
-	for atomic.LoadInt32(&lb.status[n-1]) != statusPrefix {
+	for {
+		d := atomic.LoadUint64(&lb.desc[n-1])
+		if d>>statusShift == statusPrefix {
+			return int64(d & valueMask)
+		}
 		runtime.Gosched()
 	}
-	return atomic.LoadInt64(&lb.value[n-1])
 }

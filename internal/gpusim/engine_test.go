@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -78,5 +80,83 @@ func TestLookbackEmpty(t *testing.T) {
 	lb := NewLookback(0)
 	if lb.Total() != 0 {
 		t.Fatal("empty lookback total nonzero")
+	}
+}
+
+// TestLookbackUpgradeDuringRead forces the interleaving that broke the
+// two-word descriptor: block 2 reads block 1's descriptor while it still
+// holds the aggregate, then block 1 upgrades it to its inclusive prefix
+// before block 2 walks on to block 0. A reader that took status and value
+// from separate loads would count block 0 twice here.
+func TestLookbackUpgradeDuringRead(t *testing.T) {
+	agg := []int64{5, 7, 11}
+	lb := NewLookback(len(agg))
+	lb.ExclusivePrefix(0, agg[0])
+
+	block1Read := make(chan struct{}) // block 1 has loaded block 0's descriptor
+	block2Read := make(chan struct{}) // block 2 has loaded block 1's descriptor
+	block1Done := make(chan struct{}) // block 1 has upgraded its descriptor
+	lookbackHook = func(block, pred int) {
+		switch {
+		case block == 1 && pred == 0:
+			close(block1Read)
+			<-block2Read
+		case block == 2 && pred == 1:
+			close(block2Read)
+			<-block1Done
+		}
+	}
+	defer func() { lookbackHook = nil }()
+
+	var p1 int64
+	go func() {
+		p1 = lb.ExclusivePrefix(1, agg[1])
+		close(block1Done)
+	}()
+	<-block1Read
+	p2 := lb.ExclusivePrefix(2, agg[2])
+	<-block1Done
+	if p1 != 5 || p2 != 12 {
+		t.Fatalf("prefixes %d, %d; want 5, 12", p1, p2)
+	}
+	if got := lb.Total(); got != 23 {
+		t.Fatalf("total %d, want 23", got)
+	}
+}
+
+// TestLookbackYieldingReaders re-runs the concurrent prefix check with a
+// yield after every descriptor load, so readers and upgrading owners
+// interleave on any core count.
+func TestLookbackYieldingReaders(t *testing.T) {
+	lookbackHook = func(int, int) { runtime.Gosched() }
+	defer func() { lookbackHook = nil }()
+	const n = 64
+	for trial := 0; trial < 50; trial++ {
+		lb := NewLookback(n)
+		got := make([]int64, n)
+		var next int64
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(atomic.AddInt64(&next, 1)) - 1
+					if i >= n {
+						return
+					}
+					got[i] = lb.ExclusivePrefix(i, int64(i+1))
+				}
+			}()
+		}
+		wg.Wait()
+		for i, g := range got {
+			if want := int64(i * (i + 1) / 2); g != want {
+				t.Fatalf("trial %d: prefix[%d] = %d, want %d", trial, i, g, want)
+			}
+		}
+		if tot := lb.Total(); tot != n*(n+1)/2 {
+			t.Fatalf("trial %d: total %d", trial, tot)
+		}
 	}
 }
